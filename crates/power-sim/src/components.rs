@@ -42,24 +42,55 @@ impl ProcessorSpec {
         temp_c: f64,
         leakage_factor: f64,
     ) -> f64 {
-        let u = utilization.clamp(0.0, 1.0);
+        self.operating_terms(f_mhz, v, leakage_factor)
+            .power(self, utilization, temp_c)
+    }
+
+    /// The factors of [`ProcessorSpec::power`] that only the operating
+    /// point and the part's silicon set, so a caller stepping a part
+    /// through time at one operating point can compute them once.
+    pub(crate) fn operating_terms(
+        &self,
+        f_mhz: f64,
+        v: f64,
+        leakage_factor: f64,
+    ) -> OperatingTerms {
         let f_ratio = (f_mhz / self.f_nom_mhz).max(0.0);
         let v_ratio2 = (v / self.v_nom).max(0.0).powi(2);
-        // Dynamic: alpha C V^2 f, with a floor for always-on clocks.
-        let activity = self.idle_fraction + (1.0 - self.idle_fraction) * u;
-        let dynamic = self.dynamic_w * activity * f_ratio * v_ratio2;
-        // Leakage: ~ V^2 with a linear-in-T correction around t_ref.
-        let leakage = self.leakage_w
-            * leakage_factor
-            * v_ratio2
-            * (1.0 + self.leakage_temp_coeff * (temp_c - self.t_ref_c));
-        dynamic + leakage.max(0.0)
+        OperatingTerms {
+            f_ratio,
+            v_ratio2,
+            leakage_w: self.leakage_w * leakage_factor * v_ratio2,
+        }
     }
 
     /// Nameplate (TDP-like) power: full utilization at nominal operating
     /// point, reference temperature, nominal ASIC.
     pub fn nameplate_w(&self) -> f64 {
         self.power(1.0, self.f_nom_mhz, self.v_nom, self.t_ref_c, 1.0)
+    }
+}
+
+/// A processor's operating-point factors; see
+/// [`ProcessorSpec::operating_terms`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct OperatingTerms {
+    f_ratio: f64,
+    v_ratio2: f64,
+    /// Leakage at the reference temperature, before the temperature term.
+    leakage_w: f64,
+}
+
+impl OperatingTerms {
+    /// Power drawn by `spec` at these terms, `utilization` and `temp_c`.
+    pub(crate) fn power(&self, spec: &ProcessorSpec, utilization: f64, temp_c: f64) -> f64 {
+        let u = utilization.clamp(0.0, 1.0);
+        // Dynamic: alpha C V^2 f, with a floor for always-on clocks.
+        let activity = spec.idle_fraction + (1.0 - spec.idle_fraction) * u;
+        let dynamic = spec.dynamic_w * activity * self.f_ratio * self.v_ratio2;
+        // Leakage: ~ V^2 with a linear-in-T correction around t_ref.
+        let leakage = self.leakage_w * (1.0 + spec.leakage_temp_coeff * (temp_c - spec.t_ref_c));
+        dynamic + leakage.max(0.0)
     }
 }
 

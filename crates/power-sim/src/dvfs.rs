@@ -99,6 +99,16 @@ impl Governor {
         }
     }
 
+    /// The operating point at `t` when it does not depend on utilization
+    /// (`Static`, `Schedule`), so a caller stepping many nodes can resolve
+    /// it once per time step; `None` for `OnDemand`.
+    pub(crate) fn uniform_pstate(&self, t: f64) -> Option<PState> {
+        match self {
+            Governor::OnDemand { .. } => None,
+            Governor::Static(_) | Governor::Schedule(_) => Some(self.pstate(t, 0.0)),
+        }
+    }
+
     /// Operating point at time `t` (seconds into the run) with current
     /// `utilization`.
     pub fn pstate(&self, t: f64, utilization: f64) -> PState {

@@ -2,15 +2,15 @@
 //!
 //! The engine advances each node's thermal state through a run and records
 //! power. Nodes are mutually independent (the workload couples them only
-//! through its deterministic utilization function), so the node loop
+//! through its deterministic utilization function), so the sweep
 //! parallelizes trivially; `std::thread::scope` splits the node range and
 //! per-node RNG substreams keep results independent of thread count.
 //!
 //! # One sweep, every product
 //!
-//! [`NodePower`] already carries wall, DC and processor power for each
-//! sample, so a single node sweep can feed every meter scope and every
-//! product at once. [`Simulator::run_products`] is that sweep: it takes a
+//! Every sample yields wall, DC and processor power at once, so a single
+//! sweep can feed every meter scope and every product.
+//! [`Simulator::run_products`] is that sweep: it takes a
 //! [`ProductRequest`] and returns [`RunProducts`] holding, per scope,
 //!
 //! * whole-machine power vs time (Figure 1, Table 2);
@@ -24,17 +24,44 @@
 //! wrappers over `run_products`. Callers that need several products — or
 //! the same product repeatedly — should go through
 //! [`crate::store::TraceStore`], which memoizes `RunProducts` per
-//! (machine, workload, balance, config) so the node loop runs once.
+//! (machine, workload, balance, config) so the sweep runs once.
 //!
-//! Because all scopes are derived from the same per-sample [`NodePower`]
-//! and the per-node RNG substreams depend only on `(seed, node)`, results
-//! are independent of the product mix, the scope queried, and the worker
+//! Because all scopes are derived from the same per-sample power and the
+//! per-node RNG substreams depend only on `(seed, node)`, results are
+//! independent of the product mix, the scope queried, and the worker
 //! thread count.
+//!
+//! # The time-major block kernel
+//!
+//! Each worker cuts its node range into blocks of up to 64 nodes and
+//! advances a whole block one time step at a time. A block holds each
+//! node's state (die temperature, RNG substream and the normal sampler's
+//! spare, load-balance factor, inlet temperature, silicon) and the
+//! constants hoisted out of the step: the thermal step weight
+//! `1 - exp(-dt / tau)` and the two fan-speed conductances, plus each
+//! processor's operating-point factors, recomputed only when the node's
+//! P-state changes. Work that does not depend on the node runs once per
+//! step per block: the sample time, the workload's node-independent part
+//! ([`Workload::utilization_many`]; HPL's envelope and its `powf`), and
+//! the P-state of a governor that ignores utilization. The averaging
+//! window's per-sample overlaps are computed once per sweep. No heap
+//! memory is allocated per sample.
+//!
+//! The output is bit-identical to sweeping the nodes one at a time.
+//! Hoisting only moves a pure computation earlier; every floating-point
+//! expression keeps its operands and association order. Each node draws
+//! from its own RNG in the same order as before, and the system trace
+//! still adds nodes in ascending order within a worker, then the workers
+//! in order. A scalar reference stepper in this module's tests checks
+//! this bit for bit, and `tests/sim_golden.rs` at the repository root
+//! pins the values across commits.
 
 use crate::cluster::Cluster;
-use crate::node::{NodePower, NodeSpec};
-use crate::thermal::{ThermalSpec, ThermalState};
+use crate::components::OperatingTerms;
+use crate::dvfs::PState;
+use crate::thermal::ThermalStep;
 use crate::trace::{NodeTrace, SystemTrace};
+use crate::variability::AsicSample;
 use crate::{Result, SimError};
 use power_stats::rng::{substream, StandardNormal};
 use power_workload::{LoadBalance, Workload};
@@ -465,63 +492,130 @@ impl StreamSample {
     }
 }
 
-/// Sequential single-node simulation state — thermal history, the node's
-/// RNG substream and its noise sampler — advanced one sample per call.
+/// Nodes one worker advances together, one time step at a time: enough
+/// to amortize the per-step work shared by the block, few enough that the
+/// block's state (about 10 KB) stays in the L1 cache.
+const BLOCK: usize = 64;
+
+/// What one node carries from step to step inside a [`NodeBlock`].
+struct NodeState<'a> {
+    asics: &'a [AsicSample],
+    /// The operating point `NodeBlock::terms` were computed at.
+    terms_at: Option<PState>,
+    multiplier: f64,
+    /// Load-balance factor.
+    factor: f64,
+    /// Inlet temperature: nominal ambient plus the node's position in the
+    /// room's thermal gradient.
+    ambient_c: f64,
+    temp_c: f64,
+    rng: StdRng,
+    gauss: StandardNormal,
+}
+
+/// The time-major kernel: a block of nodes advanced one sample per
+/// [`NodeBlock::step`], every node of the block at once.
 ///
 /// Both the batch sweep ([`Simulator::run_products`]) and the streaming
 /// emitter ([`Simulator::stream_subset`]) drive nodes through this type,
 /// which is what guarantees they produce identical samples.
-struct NodeStepper<'s, 'a> {
+struct NodeBlock<'s, 'a> {
     sim: &'s Simulator<'a>,
-    node: usize,
-    thermal_spec: ThermalSpec,
-    thermal: ThermalState,
-    gauss: StandardNormal,
-    rng: StdRng,
-    factor: f64,
-    step: usize,
+    nodes: &'s [usize],
+    thermal: ThermalStep,
+    state: Vec<NodeState<'a>>,
+    /// Per-processor operating-point factors, `processors` entries per
+    /// node, recomputed only when a node's operating point changes.
+    terms: Vec<OperatingTerms>,
+    /// Per-step scratch: workload utilization, then `[wall, dc,
+    /// processors]` watts, one entry per node.
+    util: Vec<f64>,
+    power: Vec<[f64; 3]>,
 }
 
-impl<'s, 'a> NodeStepper<'s, 'a> {
-    fn new(sim: &'s Simulator<'a>, node: usize) -> Self {
-        // Per-node inlet temperature: nominal ambient plus the node's
-        // position in the room's thermal gradient.
-        let mut thermal_spec = sim.cluster.spec().node.thermal;
-        thermal_spec.t_ambient_c += sim.cluster.ambient_offset(node);
-        NodeStepper {
+impl<'s, 'a> NodeBlock<'s, 'a> {
+    /// `nodes` must already be validated against the machine.
+    fn new(sim: &'s Simulator<'a>, nodes: &'s [usize]) -> Self {
+        let cluster = sim.cluster;
+        let thermal_spec = &cluster.spec().node.thermal;
+        let state = nodes
+            .iter()
+            .map(|&node| {
+                let ambient_c = thermal_spec.t_ambient_c + cluster.ambient_offset(node);
+                NodeState {
+                    asics: cluster.asics(node).expect("node index validated by caller"),
+                    terms_at: None,
+                    multiplier: cluster
+                        .multiplier(node)
+                        .expect("node index validated by caller"),
+                    factor: sim.balance.factor(node, cluster.len()),
+                    ambient_c,
+                    temp_c: ambient_c,
+                    rng: substream(sim.config.seed, node as u64),
+                    gauss: StandardNormal::new(),
+                }
+            })
+            .collect();
+        NodeBlock {
             sim,
-            node,
-            thermal_spec,
-            thermal: ThermalState::at_ambient(&thermal_spec),
-            gauss: StandardNormal::new(),
-            rng: substream(sim.config.seed, node as u64),
-            factor: sim.balance.factor(node, sim.cluster.len()),
-            step: 0,
+            nodes,
+            thermal: ThermalStep::new(thermal_spec, sim.config.dt),
+            state,
+            terms: vec![
+                OperatingTerms::default();
+                nodes.len() * cluster.spec().node.processors.len()
+            ],
+            util: vec![0.0; nodes.len()],
+            power: vec![[0.0; 3]; nodes.len()],
         }
     }
 
-    /// Advances the node by one sample and returns its power breakdown.
-    fn step(&mut self, common_mult: f64) -> NodePower {
-        let sim = self.sim;
-        let dt = sim.config.dt;
-        let t = self.step as f64 * dt;
-        let mut u = sim.workload.utilization(self.node, t) * self.factor * common_mult;
-        if sim.config.noise_sigma > 0.0 {
-            u *= 1.0 + sim.config.noise_sigma * self.gauss.sample(&mut self.rng);
+    /// Advances every node of the block by sample `step` and returns each
+    /// node's `[wall, dc, processors]` watts, in block order.
+    ///
+    /// The time, the workload's node-independent part and (for governors
+    /// that ignore utilization) the operating point are resolved once for
+    /// the whole block; each node then does exactly the arithmetic a lone
+    /// node would, in the same order.
+    fn step(&mut self, step: usize, common_mult: f64) -> &[[f64; 3]] {
+        let config = &self.sim.config;
+        let spec = self.sim.cluster.spec();
+        let t = step as f64 * config.dt;
+        self.sim
+            .workload
+            .utilization_many(self.nodes, t, &mut self.util);
+        let shared_pstate = spec.governor.uniform_pstate(t);
+        let procs = spec.node.processors.len();
+        let nodes = self.state.iter_mut().zip(&self.util).zip(&mut self.power);
+        for (k, ((node, &util), out)) in nodes.enumerate() {
+            let mut u = util * node.factor * common_mult;
+            if config.noise_sigma > 0.0 {
+                u *= 1.0 + config.noise_sigma * node.gauss.sample(&mut node.rng);
+            }
+            let u = u.clamp(0.0, 1.0);
+            let pstate = shared_pstate.unwrap_or_else(|| spec.governor.pstate(t, u));
+            let terms = &mut self.terms[k * procs..(k + 1) * procs];
+            if node.terms_at != Some(pstate) {
+                for (slot, fresh) in terms
+                    .iter_mut()
+                    .zip(spec.node.operating_terms(node.asics, &pstate))
+                {
+                    *slot = fresh;
+                }
+                node.terms_at = Some(pstate);
+            }
+            let power = spec
+                .node
+                .totals(terms, node.multiplier, u, &spec.fan_policy, node.temp_c);
+            self.thermal.advance(
+                &mut node.temp_c,
+                node.ambient_c,
+                power.heat_w(),
+                power.fan_speed,
+            );
+            *out = [power.wall_w, power.dc_w, power.processors_w];
         }
-        let u = u.clamp(0.0, 1.0);
-        let power = sim
-            .cluster
-            .node_power(self.node, t, u, self.thermal.temp_c)
-            .expect("node index validated by caller");
-        self.thermal.step(
-            &self.thermal_spec,
-            NodeSpec::heat_w(&power),
-            power.fan_speed,
-            dt,
-        );
-        self.step += 1;
-        power
+        &self.power
     }
 }
 
@@ -599,23 +693,6 @@ impl<'a> Simulator<'a> {
             .collect()
     }
 
-    /// Simulates one node across `steps` samples starting at t = 0,
-    /// invoking `sink(step, &power)` per sample with the full per-sample
-    /// power breakdown (every scope is derived from it).
-    fn run_node<F: FnMut(usize, &NodePower)>(
-        &self,
-        node: usize,
-        steps: usize,
-        common: &[f64],
-        mut sink: F,
-    ) {
-        let mut stepper = NodeStepper::new(self, node);
-        for (step, &common_mult) in common.iter().enumerate().take(steps) {
-            let power = stepper.step(common_mult);
-            sink(step, &power);
-        }
-    }
-
     /// Streams per-node power samples for a metered subset in time-major
     /// order (every node's sample 0, then every node's sample 1, ...) —
     /// the shape live telemetry arrives in at a site.
@@ -632,21 +709,20 @@ impl<'a> Simulator<'a> {
         let steps = self.run_steps();
         let common = self.common_noise(steps);
         let dt = self.config.dt;
-        let mut steppers: Vec<NodeStepper<'_, '_>> = nodes
-            .iter()
-            .map(|&node| NodeStepper::new(self, node))
-            .collect();
-        for (step, &common_mult) in common.iter().enumerate().take(steps) {
+        // One block of every node keeps the emission time-major.
+        let mut block = NodeBlock::new(self, nodes);
+        for (step, &common_mult) in common.iter().enumerate() {
             let t = step as f64 * dt;
-            for stepper in &mut steppers {
-                let power = stepper.step(common_mult);
+            for (&node, &[wall_w, dc_w, processors_w]) in
+                nodes.iter().zip(block.step(step, common_mult))
+            {
                 emit(StreamSample {
-                    node: stepper.node,
+                    node,
                     step,
                     t,
-                    wall_w: power.wall_w,
-                    dc_w: power.dc_w,
-                    processors_w: power.processors_w(),
+                    wall_w,
+                    dc_w,
+                    processors_w,
                 });
             }
         }
@@ -655,7 +731,7 @@ impl<'a> Simulator<'a> {
 
     /// Validates `request` against this simulator without simulating
     /// anything: degenerate or fully-out-of-run averaging windows and
-    /// out-of-range subset indices are rejected.
+    /// out-of-range or repeated subset indices are rejected.
     pub fn validate_request(&self, request: &ProductRequest) -> Result<()> {
         if !request.system && request.averages_window.is_none() && request.subset.is_none() {
             return Err(SimError::InvalidConfig {
@@ -678,13 +754,22 @@ impl<'a> Simulator<'a> {
             }
         }
         let n = self.cluster.len();
-        for &node in request.subset.as_deref().unwrap_or(&[]) {
+        let subset = request.subset.as_deref().unwrap_or(&[]);
+        for &node in subset {
             if node >= n {
                 return Err(SimError::NoSuchNode {
                     index: node,
                     total: n,
                 });
             }
+        }
+        let mut sorted = subset.to_vec();
+        sorted.sort_unstable();
+        if sorted.windows(2).any(|w| w[0] == w[1]) {
+            return Err(SimError::InvalidConfig {
+                field: "subset",
+                reason: "subset node ids must be distinct",
+            });
         }
         Ok(())
     }
@@ -716,6 +801,21 @@ impl<'a> Simulator<'a> {
         let threads = self.config.threads.max(1).min(work.len().max(1));
         let chunk = work.len().div_ceil(threads).max(1);
         let common = self.common_noise(steps);
+        // Each sample's overlap with the averaging window, and their sum:
+        // the same for every node, so computed once per sweep.
+        let overlaps: Vec<f64> = match request.averages_window {
+            Some((from, to)) => (0..steps)
+                .map(|step| {
+                    let a = step as f64 * dt;
+                    ((a + dt).min(to) - a.max(from)).max(0.0)
+                })
+                .collect(),
+            None => Vec::new(),
+        };
+        let weight = overlaps
+            .iter()
+            .filter(|&&o| o > 0.0)
+            .fold(0.0f64, |w, o| w + o);
 
         let system_len = if request.system { steps } else { 0 };
         let mut outs: Vec<WorkerOut> = (0..threads)
@@ -736,6 +836,7 @@ impl<'a> Simulator<'a> {
                 let hi = ((w + 1) * chunk).min(work.len());
                 let sim = &self;
                 let common = &common;
+                let overlaps = &overlaps;
                 let slot_of = &slot_of;
                 let work = &work;
                 scope_.spawn(move || {
@@ -744,41 +845,57 @@ impl<'a> Simulator<'a> {
                         averages,
                         subset: subset_out,
                     } = out;
-                    for &node in &work[lo..hi] {
-                        let slot = slot_of.get(&node).copied();
-                        let mut series =
-                            slot.map(|_| [vec![0.0; steps], vec![0.0; steps], vec![0.0; steps]]);
-                        let mut weighted = [0.0f64; 3];
-                        let mut weight = 0.0f64;
-                        sim.run_node(node, steps, common, |step, power| {
-                            let vals = [power.wall_w, power.dc_w, power.processors_w()];
+                    for nodes in work[lo..hi].chunks(BLOCK) {
+                        let mut block = NodeBlock::new(sim, nodes);
+                        let mut series: Vec<Option<(usize, [Vec<f64>; 3])>> = nodes
+                            .iter()
+                            .map(|node| {
+                                let slot = slot_of.get(node).copied()?;
+                                Some((slot, [vec![0.0; steps], vec![0.0; steps], vec![0.0; steps]]))
+                            })
+                            .collect();
+                        let keeps_any = series.iter().any(Option::is_some);
+                        let mut weighted = vec![[0.0f64; 3]; nodes.len()];
+                        for (step, &common_mult) in common.iter().enumerate() {
+                            let vals = block.step(step, common_mult);
+                            // Nodes in ascending order at every step: the
+                            // same per-sample summation order as sweeping
+                            // the worker's nodes one after another.
                             if request.system {
-                                for (acc, v) in system.iter_mut().zip(vals) {
-                                    acc[step] += v;
+                                let mut sums = [system[0][step], system[1][step], system[2][step]];
+                                for v in vals {
+                                    for (acc, x) in sums.iter_mut().zip(v) {
+                                        *acc += x;
+                                    }
+                                }
+                                for (acc, x) in system.iter_mut().zip(sums) {
+                                    acc[step] = x;
                                 }
                             }
-                            if let Some(series) = series.as_mut() {
-                                for (s, v) in series.iter_mut().zip(vals) {
-                                    s[step] = v;
-                                }
-                            }
-                            if let Some((from, to)) = request.averages_window {
-                                let a = step as f64 * dt;
-                                let overlap = ((a + dt).min(to) - a.max(from)).max(0.0);
-                                if overlap > 0.0 {
-                                    weight += overlap;
-                                    for (acc, v) in weighted.iter_mut().zip(vals) {
-                                        *acc += v * overlap;
+                            if keeps_any {
+                                for (kept, v) in series.iter_mut().zip(vals) {
+                                    if let Some((_, kept)) = kept {
+                                        for (s, &x) in kept.iter_mut().zip(v) {
+                                            s[step] = x;
+                                        }
                                     }
                                 }
                             }
-                        });
+                            let overlap = overlaps.get(step).copied().unwrap_or(0.0);
+                            if overlap > 0.0 {
+                                for (acc, v) in weighted.iter_mut().zip(vals) {
+                                    for (a, x) in acc.iter_mut().zip(v) {
+                                        *a += x * overlap;
+                                    }
+                                }
+                            }
+                        }
                         if request.averages_window.is_some() {
-                            averages.push((node, weighted.map(|x| x / weight)));
+                            for (&node, acc) in nodes.iter().zip(&weighted) {
+                                averages.push((node, acc.map(|x| x / weight)));
+                            }
                         }
-                        if let (Some(slot), Some(series)) = (slot, series) {
-                            subset_out.push((slot, series));
-                        }
+                        subset_out.extend(series.into_iter().flatten());
                     }
                 });
             }
@@ -897,11 +1014,16 @@ mod tests {
     use crate::components::{MemorySpec, ProcessorSpec, StaticSpec};
     use crate::dvfs::{Governor, PState};
     use crate::fan::{FanPolicy, FanSpec};
-    use crate::thermal::ThermalSpec;
+    use crate::node::NodeSpec;
+    use crate::store::TraceStore;
+    use crate::systems::SystemPreset;
+    use crate::thermal::{ThermalSpec, ThermalState};
     use crate::variability::VariabilityModel;
     use crate::vid::VoltagePolicy;
     use power_stats::summary::Summary;
     use power_workload::{Firestarter, Hpl, HplVariant, RunPhases};
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn spec(nodes: usize) -> ClusterSpec {
         ClusterSpec {
@@ -1234,5 +1356,293 @@ mod tests {
         let early = trace.window_average(10.0, 60.0).unwrap();
         let late = trace.window_average(900.0, 1200.0).unwrap();
         assert!(late > early * 1.005, "early={early} late={late}");
+    }
+
+    /// A workload that counts its evaluations, so a test can assert that
+    /// nothing was simulated.
+    struct Counting {
+        inner: Firestarter,
+        calls: AtomicUsize,
+    }
+
+    impl Counting {
+        fn new() -> Self {
+            Counting {
+                inner: Firestarter::new(RunPhases::core_only(300.0).unwrap()),
+                calls: AtomicUsize::new(0),
+            }
+        }
+    }
+
+    impl Workload for Counting {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn phases(&self) -> RunPhases {
+            self.inner.phases()
+        }
+
+        fn utilization(&self, node: usize, t: f64) -> f64 {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.utilization(node, t)
+        }
+    }
+
+    fn assert_duplicate_rejected<T: std::fmt::Debug>(result: Result<T>) {
+        assert!(
+            matches!(
+                result,
+                Err(SimError::InvalidConfig {
+                    field: "subset",
+                    ..
+                })
+            ),
+            "{result:?}"
+        );
+    }
+
+    #[test]
+    fn duplicate_subset_ids_rejected_before_run_products_simulates() {
+        let cluster = Cluster::build(spec(12)).unwrap();
+        let wl = Counting::new();
+        let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, config()).unwrap();
+        assert_duplicate_rejected(sim.run_products(&ProductRequest::subset_only(&[3, 3])));
+        assert_duplicate_rejected(
+            sim.run_products(&ProductRequest::with_averages(50.0, 200.0).and_subset(&[5, 1, 5])),
+        );
+        assert_eq!(wl.calls.load(Ordering::Relaxed), 0, "nothing simulated");
+    }
+
+    #[test]
+    fn duplicate_subset_ids_rejected_before_stream_subset_emits() {
+        let cluster = Cluster::build(spec(12)).unwrap();
+        let wl = Counting::new();
+        let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, config()).unwrap();
+        let mut emitted = 0usize;
+        assert_duplicate_rejected(sim.stream_subset(&[2, 2], |_| emitted += 1));
+        assert_eq!(emitted, 0);
+        assert_eq!(wl.calls.load(Ordering::Relaxed), 0, "nothing simulated");
+    }
+
+    #[test]
+    fn duplicate_subset_ids_rejected_before_trace_store_simulates() {
+        let cluster = Cluster::build(spec(12)).unwrap();
+        let wl = Counting::new();
+        let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, config()).unwrap();
+        let store = TraceStore::new();
+        // The cache key samples the workload on a fixed grid; that probe
+        // is all a rejected request may evaluate.
+        crate::store::simulation_key(&sim);
+        let probe = wl.calls.swap(0, Ordering::Relaxed);
+        assert_duplicate_rejected(store.products(&sim, &ProductRequest::subset_only(&[3, 3])));
+        assert_eq!(wl.calls.load(Ordering::Relaxed), probe, "nothing simulated");
+        assert_eq!(store.misses(), 0);
+        // A cached subset must not answer a duplicate request either.
+        store
+            .products(&sim, &ProductRequest::subset_only(&[1, 3, 5]))
+            .unwrap();
+        assert_duplicate_rejected(store.products(&sim, &ProductRequest::subset_only(&[3, 3])));
+        assert_eq!(store.misses(), 1);
+    }
+
+    /// The node-major sweep the block kernel replaced: one node through
+    /// the whole run, via the public per-node API. Returns the node's
+    /// `[wall, dc, processors]` series.
+    fn reference_node(sim: &Simulator<'_>, node: usize, common: &[f64]) -> [Vec<f64>; 3] {
+        let cluster = sim.cluster();
+        let config = sim.config();
+        let mut thermal_spec = cluster.spec().node.thermal;
+        thermal_spec.t_ambient_c += cluster.ambient_offset(node);
+        let mut thermal = ThermalState::at_ambient(&thermal_spec);
+        let mut gauss = StandardNormal::new();
+        let mut rng = substream(config.seed, node as u64);
+        let factor = sim.balance().factor(node, cluster.len());
+        let mut out = [Vec::new(), Vec::new(), Vec::new()];
+        for (step, &common_mult) in common.iter().enumerate() {
+            let t = step as f64 * config.dt;
+            let mut u = sim.workload().utilization(node, t) * factor * common_mult;
+            if config.noise_sigma > 0.0 {
+                u *= 1.0 + config.noise_sigma * gauss.sample(&mut rng);
+            }
+            let u = u.clamp(0.0, 1.0);
+            let power = cluster.node_power(node, t, u, thermal.temp_c).unwrap();
+            thermal.step(
+                &thermal_spec,
+                NodeSpec::heat_w(&power),
+                power.fan_speed,
+                config.dt,
+            );
+            out[0].push(power.wall_w);
+            out[1].push(power.dc_w);
+            out[2].push(power.processors_w());
+        }
+        out
+    }
+
+    /// [`Simulator::run_products`] rebuilt on [`reference_node`], with the
+    /// same worker partition and summation order.
+    fn reference_products(sim: &Simulator<'_>, request: &ProductRequest) -> RunProducts {
+        let steps = sim.run_steps();
+        let n = sim.cluster().len();
+        let dt = sim.dt();
+        let subset = request.subset.clone().unwrap_or_default();
+        let work: Vec<usize> = if request.needs_full_sweep() {
+            (0..n).collect()
+        } else {
+            subset.clone()
+        };
+        let common = sim.common_noise(steps);
+        let series: Vec<[Vec<f64>; 3]> = work
+            .iter()
+            .map(|&node| reference_node(sim, node, &common))
+            .collect();
+        let threads = sim.config().threads.max(1).min(work.len().max(1));
+        let chunk = work.len().div_ceil(threads).max(1);
+        let system = request.system.then(|| {
+            let mut totals = [vec![0.0; steps], vec![0.0; steps], vec![0.0; steps]];
+            for worker in series.chunks(chunk) {
+                let mut partial = [vec![0.0; steps], vec![0.0; steps], vec![0.0; steps]];
+                for node in worker {
+                    for (p, s) in partial.iter_mut().zip(node) {
+                        for (acc, v) in p.iter_mut().zip(s) {
+                            *acc += v;
+                        }
+                    }
+                }
+                for (total, p) in totals.iter_mut().zip(&partial) {
+                    for (acc, v) in total.iter_mut().zip(p) {
+                        *acc += v;
+                    }
+                }
+            }
+            totals.map(|w| SystemTrace::new(0.0, dt, w).unwrap())
+        });
+        let averages = request.averages_window.map(|(from, to)| {
+            let mut per_scope = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+            for (&node, s) in work.iter().zip(&series) {
+                let mut weighted = [0.0f64; 3];
+                let mut weight = 0.0f64;
+                for step in 0..steps {
+                    let a = step as f64 * dt;
+                    let overlap = ((a + dt).min(to) - a.max(from)).max(0.0);
+                    if overlap > 0.0 {
+                        weight += overlap;
+                        for (acc, scope) in weighted.iter_mut().zip(s) {
+                            *acc += scope[step] * overlap;
+                        }
+                    }
+                }
+                for (avgs, w) in per_scope.iter_mut().zip(weighted) {
+                    avgs[node] = w / weight;
+                }
+            }
+            per_scope
+        });
+        let subset_traces = request.subset.as_ref().map(|ids| {
+            let rows: Vec<&[Vec<f64>; 3]> = ids
+                .iter()
+                .map(|id| &series[work.iter().position(|w| w == id).unwrap()])
+                .collect();
+            [0, 1, 2].map(|k| {
+                let samples = rows.iter().map(|r| r[k].clone()).collect();
+                NodeTrace::new(ids.clone(), 0.0, dt, samples).unwrap()
+            })
+        });
+        RunProducts {
+            request: request.clone(),
+            dt,
+            steps,
+            cluster_len: n,
+            system,
+            averages,
+            subset: subset_traces,
+        }
+    }
+
+    /// Every value of `products` as raw bits, in a fixed order.
+    fn product_bits(products: &RunProducts) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for scope in MeterScope::ALL {
+            if let Some(trace) = products.system_trace(scope) {
+                bits.extend(trace.watts.iter().map(|x| x.to_bits()));
+            }
+            if let Some(avgs) = products.node_averages(scope) {
+                bits.extend(avgs.iter().map(|x| x.to_bits()));
+            }
+            if let Some(trace) = products.subset_trace(scope) {
+                bits.extend(trace.node_ids.iter().map(|&id| id as u64));
+                for row in &trace.samples {
+                    bits.extend(row.iter().map(|x| x.to_bits()));
+                }
+            }
+        }
+        bits
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn block_kernel_matches_scalar_reference_bit_for_bit(
+            preset in 0usize..11,
+            nodes in 1usize..160,
+            seed in 0u64..1_000_000,
+            steps in 8usize..90,
+            threads in 1usize..5,
+            products in 1usize..8,
+            window in (-0.05..0.9f64, 0.1..1.2f64),
+            subset_len in 1usize..140,
+        ) {
+            let preset = SystemPreset::all_presets()
+                .swap_remove(preset)
+                .with_total_nodes(nodes);
+            let cluster = Cluster::build(preset.cluster_spec.clone()).unwrap();
+            let workload = preset.workload.workload();
+            let config = SimulationConfig {
+                dt: workload.phases().total() / steps as f64,
+                noise_sigma: 0.01,
+                common_noise_sigma: 0.003,
+                seed,
+                threads,
+            };
+            let sim = Simulator::new(&cluster, workload, preset.balance, config).unwrap();
+            let end = sim.run_end();
+            let mut ids: Vec<usize> = (0..nodes).collect();
+            ids.sort_by_key(|&i| (i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            ids.truncate(subset_len);
+            let request = ProductRequest {
+                system: products & 1 != 0,
+                averages_window: (products & 2 != 0)
+                    .then_some((window.0 * end, (window.0 + window.1) * end)),
+                subset: (products & 4 != 0).then(|| ids.clone()),
+            };
+            let kernel = sim.run_products(&request).unwrap();
+            let reference = reference_products(&sim, &request);
+            prop_assert!(
+                product_bits(&kernel) == product_bits(&reference),
+                "{} ({nodes} nodes, {threads} threads, {request:?}) drifted from the reference",
+                preset.name
+            );
+            // The streaming path is the same kernel with the whole subset
+            // as one block, which may exceed `BLOCK`.
+            let common = sim.common_noise(sim.run_steps());
+            let expected: Vec<[Vec<f64>; 3]> = ids
+                .iter()
+                .map(|&node| reference_node(&sim, node, &common))
+                .collect();
+            let mut mismatches = 0usize;
+            sim.stream_subset(&ids, |s| {
+                let slot = ids.iter().position(|&id| id == s.node).unwrap();
+                let want = &expected[slot];
+                for scope in MeterScope::ALL {
+                    if s.power(scope).to_bits() != want[scope.index()][s.step].to_bits() {
+                        mismatches += 1;
+                    }
+                }
+            })
+            .unwrap();
+            prop_assert_eq!(mismatches, 0);
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! methodology cares about *which subsystems* a measurement includes (the
 //! Titan dataset in the paper metered GPUs only).
 
-use crate::components::{MemorySpec, ProcessorSpec, StaticSpec};
+use crate::components::{MemorySpec, OperatingTerms, ProcessorSpec, StaticSpec};
 use crate::dvfs::PState;
 use crate::fan::{FanPolicy, FanSpec};
 use crate::thermal::ThermalSpec;
@@ -62,7 +62,6 @@ impl NodeSpec {
     ///   against each processor's VID bin);
     /// * `fan_policy` — fan control in force;
     /// * `temp_c` — current die temperature.
-    #[allow(clippy::too_many_arguments)]
     pub fn power(
         &self,
         asics: &[AsicSample],
@@ -72,14 +71,46 @@ impl NodeSpec {
         fan_policy: &FanPolicy,
         temp_c: f64,
     ) -> NodePower {
-        let nominal = AsicSample::nominal();
-        let mut processors = Vec::with_capacity(self.processors.len());
-        for (i, proc) in self.processors.iter().enumerate() {
-            let asic = asics.get(i).unwrap_or(&nominal);
-            let v = pstate.voltage.voltage(asic.vid_bin);
-            let w = proc.power(utilization, pstate.f_mhz, v, temp_c, asic.leakage_factor);
-            processors.push(w);
+        let terms: Vec<OperatingTerms> = self.operating_terms(asics, pstate).collect();
+        let totals = self.totals(&terms, node_multiplier, utilization, fan_policy, temp_c);
+        NodePower {
+            processors: self.processor_powers(&terms, utilization, temp_c).collect(),
+            memory_w: totals.memory_w,
+            static_w: totals.static_w,
+            fan_w: totals.fan_w,
+            fan_speed: totals.fan_speed,
+            node_multiplier,
+            dc_w: totals.dc_w,
+            wall_w: totals.wall_w,
         }
+    }
+
+    /// Each processor's operating-point factors at `pstate` (the voltage
+    /// policy resolved against its VID bin), in `processors` order.
+    pub(crate) fn operating_terms<'s>(
+        &'s self,
+        asics: &'s [AsicSample],
+        pstate: &'s PState,
+    ) -> impl Iterator<Item = OperatingTerms> + 's {
+        self.processors.iter().enumerate().map(move |(i, proc)| {
+            let asic = asics.get(i).copied().unwrap_or_else(AsicSample::nominal);
+            let v = pstate.voltage.voltage(asic.vid_bin);
+            proc.operating_terms(pstate.f_mhz, v, asic.leakage_factor)
+        })
+    }
+
+    /// [`NodeSpec::power`] without the per-processor breakdown, from
+    /// precomputed [`NodeSpec::operating_terms`], so it allocates nothing:
+    /// the simulation engine's per-sample path.
+    pub(crate) fn totals(
+        &self,
+        terms: &[OperatingTerms],
+        node_multiplier: f64,
+        utilization: f64,
+        fan_policy: &FanPolicy,
+        temp_c: f64,
+    ) -> NodeTotals {
+        let processors_w: f64 = self.processor_powers(terms, utilization, temp_c).sum();
         let memory_w = self.memory.power(utilization);
         let static_w = self.static_power.power();
         let fan_speed = fan_policy.speed(temp_c, &self.fan);
@@ -87,18 +118,29 @@ impl NodeSpec {
 
         // The node multiplier models residual manufacturing/assembly spread
         // in the compute path; fans are modelled explicitly and excluded.
-        let compute_w = (processors.iter().sum::<f64>() + memory_w + static_w) * node_multiplier;
+        let compute_w = (processors_w + memory_w + static_w) * node_multiplier;
         let dc_w = compute_w + fan_w;
-        NodePower {
-            processors,
+        NodeTotals {
+            processors_w,
             memory_w,
             static_w,
             fan_w,
             fan_speed,
-            node_multiplier,
             dc_w,
             wall_w: dc_w / self.psu_efficiency,
         }
+    }
+
+    fn processor_powers<'s>(
+        &'s self,
+        terms: &'s [OperatingTerms],
+        utilization: f64,
+        temp_c: f64,
+    ) -> impl Iterator<Item = f64> + 's {
+        self.processors
+            .iter()
+            .zip(terms)
+            .map(move |(proc, terms)| terms.power(proc, utilization, temp_c))
     }
 
     /// Heat dissipated inside the chassis (drives the thermal model):
@@ -106,6 +148,25 @@ impl NodeSpec {
     /// airflow and is excluded.
     pub fn heat_w(power: &NodePower) -> f64 {
         power.dc_w - power.fan_w
+    }
+}
+
+/// [`NodePower`]'s scalar fields, with processor power as one sum.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct NodeTotals {
+    pub(crate) processors_w: f64,
+    pub(crate) memory_w: f64,
+    pub(crate) static_w: f64,
+    pub(crate) fan_w: f64,
+    pub(crate) fan_speed: f64,
+    pub(crate) dc_w: f64,
+    pub(crate) wall_w: f64,
+}
+
+impl NodeTotals {
+    /// Heat dissipated inside the chassis, as [`NodeSpec::heat_w`].
+    pub(crate) fn heat_w(&self) -> f64 {
+        self.dc_w - self.fan_w
     }
 }
 

@@ -53,16 +53,57 @@ impl ThermalSpec {
     /// Effective thermal resistance at a fan speed fraction: interpolates
     /// `1/R` linearly in speed (airflow ~ speed, conductance ~ airflow).
     pub fn r_th(&self, fan_speed: f64) -> f64 {
-        let s = fan_speed.clamp(0.0, 1.0);
-        let g_min = 1.0 / self.r_th_max;
-        let g_max = 1.0 / self.r_th_min;
-        1.0 / (g_min + (g_max - g_min) * s)
+        r_th(1.0 / self.r_th_max, 1.0 / self.r_th_min, fan_speed)
     }
 
     /// Steady-state die temperature at `heat_w` dissipated and a given fan
     /// speed.
     pub fn steady_temp(&self, heat_w: f64, fan_speed: f64) -> f64 {
-        self.t_ambient_c + self.r_th(fan_speed) * heat_w.max(0.0)
+        steady_temp(self.t_ambient_c, self.r_th(fan_speed), heat_w)
+    }
+}
+
+/// Thermal resistance at `fan_speed`, interpolating conductance between
+/// `g_min` (slowest fans) and `g_max` (full speed).
+fn r_th(g_min: f64, g_max: f64, fan_speed: f64) -> f64 {
+    let s = fan_speed.clamp(0.0, 1.0);
+    1.0 / (g_min + (g_max - g_min) * s)
+}
+
+fn steady_temp(t_ambient_c: f64, r_th: f64, heat_w: f64) -> f64 {
+    t_ambient_c + r_th * heat_w.max(0.0)
+}
+
+/// The constants of a [`ThermalSpec`]'s exponential step at a fixed `dt`:
+/// the two fan-speed conductances and the step weight
+/// `1 - exp(-dt / tau)`.
+///
+/// They depend on neither the node's state nor its inlet temperature, so
+/// the engine computes them once per block of nodes rather than once per
+/// node step.
+/// [`ThermalState::step`] goes through the same code, so the hoisted path
+/// evaluates exactly the same expressions.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ThermalStep {
+    g_min: f64,
+    g_max: f64,
+    alpha: f64,
+}
+
+impl ThermalStep {
+    pub(crate) fn new(spec: &ThermalSpec, dt: f64) -> Self {
+        ThermalStep {
+            g_min: 1.0 / spec.r_th_max,
+            g_max: 1.0 / spec.r_th_min,
+            alpha: 1.0 - (-dt / spec.tau_s).exp(),
+        }
+    }
+
+    /// Advances `temp_c` by one step with `heat_w` dissipated, the given
+    /// fan speed and an inlet at `t_ambient_c`.
+    pub(crate) fn advance(&self, temp_c: &mut f64, t_ambient_c: f64, heat_w: f64, fan_speed: f64) {
+        let target = steady_temp(t_ambient_c, r_th(self.g_min, self.g_max, fan_speed), heat_w);
+        *temp_c += (target - *temp_c) * self.alpha;
     }
 }
 
@@ -84,9 +125,7 @@ impl ThermalState {
     /// Advances the state by `dt` seconds with `heat_w` dissipated and the
     /// given fan speed (exact exponential step of the first-order ODE).
     pub fn step(&mut self, spec: &ThermalSpec, heat_w: f64, fan_speed: f64, dt: f64) {
-        let target = spec.steady_temp(heat_w, fan_speed);
-        let alpha = 1.0 - (-dt / spec.tau_s).exp();
-        self.temp_c += (target - self.temp_c) * alpha;
+        ThermalStep::new(spec, dt).advance(&mut self.temp_c, spec.t_ambient_c, heat_w, fan_speed);
     }
 }
 

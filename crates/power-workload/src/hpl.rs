@@ -233,6 +233,51 @@ impl Hpl {
     }
 }
 
+/// The node-independent part of [`Hpl`]'s utilization at one instant.
+#[derive(Debug, Clone, Copy)]
+enum HplInstant {
+    /// Outside the core phase: every node sits at this level.
+    Uniform(f64),
+    /// Inside the core phase: the envelope, and the ripple phase before
+    /// the per-node dephasing is added.
+    Core { envelope: f64, ripple_phase: f64 },
+}
+
+impl Hpl {
+    fn instant(&self, t: f64) -> HplInstant {
+        if !self.phases.in_run(t) {
+            return HplInstant::Uniform(0.0);
+        }
+        if !self.phases.in_core(t) {
+            return HplInstant::Uniform(self.shape.idle);
+        }
+        let tau = self.phases.core_progress(t);
+        HplInstant::Core {
+            envelope: self.envelope(tau),
+            ripple_phase: tau * self.shape.panel_steps * std::f64::consts::TAU,
+        }
+    }
+
+    fn node_utilization(&self, at: HplInstant, node: usize) -> f64 {
+        match at {
+            HplInstant::Uniform(u) => u,
+            HplInstant::Core {
+                envelope,
+                ripple_phase,
+            } => {
+                let mut u = envelope;
+                // Deterministic panel/update ripple, dephased per node so
+                // that the machine-level sum stays jagged but bounded.
+                if self.shape.ripple > 0.0 {
+                    let phase = ripple_phase + (node as f64) * 2.399_963; // golden-angle dephasing
+                    u += self.shape.ripple * phase.sin();
+                }
+                u.clamp(0.0, 1.0)
+            }
+        }
+    }
+}
+
 impl Workload for Hpl {
     fn name(&self) -> &str {
         match self.variant {
@@ -246,22 +291,15 @@ impl Workload for Hpl {
     }
 
     fn utilization(&self, node: usize, t: f64) -> f64 {
-        if !self.phases.in_run(t) {
-            return 0.0;
+        self.node_utilization(self.instant(t), node)
+    }
+
+    /// Evaluates the envelope (and its `powf`) once for all `nodes`.
+    fn utilization_many(&self, nodes: &[usize], t: f64, out: &mut [f64]) {
+        let at = self.instant(t);
+        for (u, &node) in out.iter_mut().zip(nodes) {
+            *u = self.node_utilization(at, node);
         }
-        if !self.phases.in_core(t) {
-            return self.shape.idle;
-        }
-        let tau = self.phases.core_progress(t);
-        let mut u = self.envelope(tau);
-        // Deterministic panel/update ripple, dephased per node so that the
-        // machine-level sum stays jagged but bounded.
-        if self.shape.ripple > 0.0 {
-            let phase =
-                tau * self.shape.panel_steps * std::f64::consts::TAU + (node as f64) * 2.399_963; // golden-angle dephasing
-            u += self.shape.ripple * phase.sin();
-        }
-        u.clamp(0.0, 1.0)
     }
 
     fn total_flops(&self) -> f64 {

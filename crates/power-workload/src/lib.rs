@@ -56,6 +56,19 @@ pub trait Workload: Send + Sync {
     /// `[0, 1]`; outside the run it should return the idle level.
     fn utilization(&self, node: usize, t: f64) -> f64;
 
+    /// Utilization of each of `nodes` at time `t`, written to the matching
+    /// slot of `out` (one slot per entry of `nodes`).
+    ///
+    /// Must equal [`Workload::utilization`] bit for bit. The simulator
+    /// calls this once per time step for a block of nodes, so a workload
+    /// whose value has a costly node-independent part overrides it to
+    /// compute that part once.
+    fn utilization_many(&self, nodes: &[usize], t: f64, out: &mut [f64]) {
+        for (u, &node) in out.iter_mut().zip(nodes) {
+            *u = self.utilization(node, t);
+        }
+    }
+
     /// Total useful floating-point operations performed by the run across
     /// the whole machine (used for FLOPS/W metrics). Zero for workloads
     /// without a meaningful flop count.

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 
+use power_workload::registry;
 use power_workload::{
     Firestarter, Graph500, Hpl, HplShape, HplVariant, LoadBalance, MPrime, RodiniaCfd, RunPhases,
     Workload,
@@ -127,5 +128,49 @@ proptest! {
         prop_assert!((e0 - s1).abs() < 1e-9);
         prop_assert!((s0 - p.core_start()).abs() < 1e-9);
         prop_assert!((e1 - p.core_end()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn utilization_many_matches_utilization_bit_for_bit(
+        phases in arb_phases(),
+        shape in arb_gpu_shape(),
+        nodes in prop::collection::vec(0usize..100_000, 1..80),
+        pick in 0usize..8,
+        r in -100.0..30_000.0f64,
+    ) {
+        // Phase boundaries and out-of-run times, not just interior points.
+        let t = match pick {
+            0 => phases.core_start(),
+            1 => phases.core_end(),
+            2 => phases.total(),
+            3 => 0.0,
+            4 => -1.0,
+            5 => phases.total() + r.abs(),
+            _ => r,
+        };
+        let mut loads: Vec<Box<dyn Workload>> = registry::names()
+            .iter()
+            .map(|name| registry::by_name(name, phases, 1e15).unwrap())
+            .collect();
+        loads.push(Box::new(
+            Hpl::with_shape(HplVariant::GpuInCore, phases, 1e15, shape).unwrap(),
+        ));
+        for wl in &loads {
+            let mut many = vec![f64::NAN; nodes.len()];
+            wl.utilization_many(&nodes, t, &mut many);
+            for (&node, u) in nodes.iter().zip(&many) {
+                let one = wl.utilization(node, t);
+                prop_assert_eq!(
+                    u.to_bits(),
+                    one.to_bits(),
+                    "{} node {} at t={}: {} vs {}",
+                    wl.name(),
+                    node,
+                    t,
+                    u,
+                    one
+                );
+            }
+        }
     }
 }
