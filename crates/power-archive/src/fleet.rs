@@ -1,13 +1,13 @@
-//! Fleet write-ahead log: one durable file for a whole fleet.
+//! Campaign write-ahead log: one durable file for a whole fleet.
 //!
-//! [`CampaignWal`](crate::CampaignWal) persists exactly one campaign
-//! per file. A fleet multiplexes thousands of campaigns onto one ingest
-//! plane, and [`FleetWal`] multiplexes their durability the same way:
-//! one append-only log whose records are tagged by campaign id,
-//! implementing [`power_fleet::FleetJournal`]. Reopening the file
-//! truncates any torn tail and replays the durable prefix into the
-//! per-campaign state the fleet needs to resume every in-flight
-//! campaign at its watermark.
+//! A fleet multiplexes thousands of campaigns onto one ingest plane,
+//! and [`FleetWal`] multiplexes their durability the same way: one
+//! append-only log whose records are tagged by campaign id,
+//! implementing [`power_telemetry::CampaignJournal`]. A live campaign
+//! is a fleet of one and journals to the same format. Reopening the
+//! file truncates any torn tail and replays the durable prefix into the
+//! per-campaign state needed to resume every in-flight campaign at its
+//! watermark.
 //!
 //! Record payloads (all little-endian, framed by `crate::record`):
 //!
@@ -23,13 +23,13 @@
 //! exist. `Node` and `Finished` appends are *not* fsynced: losing the
 //! last few of them to a crash only rewinds a campaign's watermark, and
 //! re-metering is safe because node averages are deterministic
-//! functions of the spec (see `power_fleet::spec`). This keeps the
-//! per-node append on the fleet's hot path at memory speed while the
-//! resume contract stays exact.
+//! functions of the campaign's identity. This keeps the per-node append
+//! on the fleet's hot path at memory speed while the resume contract
+//! stays exact. A caller that wants them durable anyway calls `sync`,
+//! as the live campaign driver does after every node.
 
 use crate::record::{append_record, scan_records, sync_dir, truncate_to};
-use power_fleet::journal::{CampaignReplay, FleetJournal};
-use power_fleet::FleetError;
+use power_telemetry::{CampaignJournal, CampaignReplay, TelemetryError};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io;
@@ -40,7 +40,7 @@ const OP_NODE: u8 = 2;
 const OP_FINISHED: u8 = 3;
 const OP_DELETED: u8 = 4;
 
-/// A file-backed multiplexed [`FleetJournal`] with torn-tail recovery.
+/// A file-backed multiplexed [`CampaignJournal`] with torn-tail recovery.
 #[derive(Debug)]
 pub struct FleetWal {
     path: PathBuf,
@@ -55,8 +55,8 @@ fn corrupt(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.to_string())
 }
 
-fn journal_err(e: io::Error) -> FleetError {
-    FleetError::Journal(format!("fleet wal: {e}"))
+fn journal_err(e: io::Error) -> TelemetryError {
+    TelemetryError::Journal(format!("fleet wal: {e}"))
 }
 
 fn id_payload(op: u8, id: u64) -> [u8; 9] {
@@ -77,8 +77,9 @@ impl FleetWal {
     }
 
     /// [`FleetWal::open`] with an explicit fsync policy for the CRUD
-    /// records (`Created`/`Deleted`). Node records are never fsynced —
-    /// see the module docs for why that is safe.
+    /// records (`Created`/`Deleted`) and for `sync`. Node records are
+    /// never fsynced on append — see the module docs for why that is
+    /// safe.
     pub fn open_with_fsync(path: impl Into<PathBuf>, fsync: bool) -> io::Result<Self> {
         let path = path.into();
         let scan = scan_records(&path)?;
@@ -99,10 +100,7 @@ impl FleetWal {
             match op {
                 OP_CREATED => {
                     if payload.len() < 18 {
-                        // 1 + id + fingerprint + a non-empty spec. A
-                        // 17-byte op=1 record is a CampaignWal Start —
-                        // reject the foreign file instead of replaying
-                        // an empty spec.
+                        // 1 + id + fingerprint + a non-empty spec.
                         return Err(corrupt("fleet wal Created record too short"));
                     }
                     let id = field(1)?;
@@ -164,9 +162,9 @@ impl FleetWal {
             .read(true)
             .write(true)
             .open(&path)?;
-        if let Some(dir) = path.parent() {
-            sync_dir(dir)?;
-        }
+        // A bare file name has an empty parent: its directory is `.`.
+        let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+        sync_dir(dir.unwrap_or(Path::new(".")))?;
         Ok(FleetWal {
             offset: scan.valid_len,
             file,
@@ -197,7 +195,7 @@ impl FleetWal {
         self.offset
     }
 
-    fn append(&mut self, payload: &[u8], fsync: bool) -> power_fleet::Result<()> {
+    fn append(&mut self, payload: &[u8], fsync: bool) -> power_telemetry::Result<()> {
         let len = append_record(&mut self.file, self.offset, payload, fsync && self.fsync)
             .map_err(journal_err)?;
         self.offset += len;
@@ -205,8 +203,8 @@ impl FleetWal {
     }
 }
 
-impl FleetJournal for FleetWal {
-    fn replay(&mut self) -> power_fleet::Result<BTreeMap<u64, CampaignReplay>> {
+impl CampaignJournal for FleetWal {
+    fn replay(&mut self) -> power_telemetry::Result<BTreeMap<u64, CampaignReplay>> {
         Ok(self.campaigns.clone())
     }
 
@@ -215,12 +213,14 @@ impl FleetJournal for FleetWal {
         id: u64,
         fingerprint: u64,
         spec: &[u8],
-    ) -> power_fleet::Result<()> {
+    ) -> power_telemetry::Result<()> {
         if spec.is_empty() {
-            return Err(FleetError::Journal("refusing to record empty spec".into()));
+            return Err(TelemetryError::Journal(
+                "refusing to record empty spec".into(),
+            ));
         }
         if self.campaigns.contains_key(&id) {
-            return Err(FleetError::Journal(format!(
+            return Err(TelemetryError::Journal(format!(
                 "campaign {id} already created"
             )));
         }
@@ -242,11 +242,11 @@ impl FleetJournal for FleetWal {
         Ok(())
     }
 
-    fn record_node(&mut self, id: u64, node: u64, average: f64) -> power_fleet::Result<()> {
+    fn record_node(&mut self, id: u64, node: u64, average: f64) -> power_telemetry::Result<()> {
         let c = self
             .campaigns
             .get_mut(&id)
-            .ok_or_else(|| FleetError::Journal(format!("campaign {id} unknown to wal")))?;
+            .ok_or_else(|| TelemetryError::Journal(format!("campaign {id} unknown to wal")))?;
         let mut payload = [0u8; 25];
         payload[0] = OP_NODE;
         payload[1..9].copy_from_slice(&id.to_le_bytes());
@@ -256,20 +256,29 @@ impl FleetJournal for FleetWal {
         self.append(&payload, false)
     }
 
-    fn record_finished(&mut self, id: u64) -> power_fleet::Result<()> {
+    fn record_finished(&mut self, id: u64) -> power_telemetry::Result<()> {
         let c = self
             .campaigns
             .get_mut(&id)
-            .ok_or_else(|| FleetError::Journal(format!("campaign {id} unknown to wal")))?;
+            .ok_or_else(|| TelemetryError::Journal(format!("campaign {id} unknown to wal")))?;
         c.finished = true;
         self.append(&id_payload(OP_FINISHED, id), false)
     }
 
-    fn record_deleted(&mut self, id: u64) -> power_fleet::Result<()> {
+    fn record_deleted(&mut self, id: u64) -> power_telemetry::Result<()> {
         if self.campaigns.remove(&id).is_none() {
-            return Err(FleetError::Journal(format!("campaign {id} unknown to wal")));
+            return Err(TelemetryError::Journal(format!(
+                "campaign {id} unknown to wal"
+            )));
         }
         self.append(&id_payload(OP_DELETED, id), true)
+    }
+
+    fn sync(&mut self) -> power_telemetry::Result<()> {
+        if self.fsync {
+            self.file.sync_data().map_err(journal_err)?;
+        }
+        Ok(())
     }
 }
 
@@ -372,18 +381,6 @@ mod tests {
     #[test]
     fn foreign_files_are_rejected() {
         let dir = tmpdir("foreign");
-        // A CampaignWal file: op=1 Start with a 17-byte payload parses
-        // as a Created record with an empty spec — must be refused.
-        let single = dir.join("single.wal");
-        {
-            use power_telemetry::CampaignJournal;
-            let mut wal = crate::CampaignWal::open(&single).unwrap();
-            wal.resume(0xDEAD, 64).unwrap();
-            wal.record_node(0, 100.0).unwrap();
-        }
-        let err = FleetWal::open(&single).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
         // CRC-valid garbage with an unknown op byte.
         let garbage = dir.join("garbage.wal");
         {

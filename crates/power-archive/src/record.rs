@@ -1,5 +1,5 @@
 //! Append-only record framing shared by segment files, the manifest,
-//! and campaign WALs.
+//! and the campaign WAL.
 //!
 //! Every record is `magic(4) | payload_len(u32 LE) | crc32(u32 LE) |
 //! payload`. A file of records is valid up to the first frame that is

@@ -22,13 +22,12 @@
 //! their counters fold into the shard's retired totals, so plane-wide
 //! conservation accounting survives campaign churn.
 
-use crate::journal::FleetJournal;
 use crate::spec::FleetCampaignSpec;
 use crate::{FleetError, Result};
 use power_stats::ConfidenceInterval;
 use power_telemetry::online::SequentialEstimator;
 use power_telemetry::plane::{IngestPlane, PlaneConfig, PlaneStats, ShardStats};
-use power_telemetry::{IngestConfig, IngestStats, Sample};
+use power_telemetry::{CampaignJournal, IngestConfig, IngestStats, Sample};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -172,7 +171,7 @@ pub struct Fleet {
     cfg: FleetConfig,
     plane: IngestPlane,
     tables: Vec<Mutex<BTreeMap<u64, CampaignRuntime>>>,
-    journal: Option<Mutex<Box<dyn FleetJournal>>>,
+    journal: Option<Mutex<Box<dyn CampaignJournal>>>,
     next_id: AtomicU64,
     campaigns: AtomicU64,
     live: AtomicU64,
@@ -200,11 +199,11 @@ impl Fleet {
     /// Opens a fleet over a durable journal, resuming every surviving
     /// campaign at its watermark: the journaled node averages replay
     /// into a fresh estimator, and metering continues at the next slot.
-    pub fn open(cfg: FleetConfig, journal: Box<dyn FleetJournal>) -> Result<Self> {
+    pub fn open(cfg: FleetConfig, journal: Box<dyn CampaignJournal>) -> Result<Self> {
         Self::build(cfg, Some(journal))
     }
 
-    fn build(cfg: FleetConfig, journal: Option<Box<dyn FleetJournal>>) -> Result<Self> {
+    fn build(cfg: FleetConfig, journal: Option<Box<dyn CampaignJournal>>) -> Result<Self> {
         if cfg.shards == 0 {
             return Err(FleetError::InvalidSpec {
                 field: "shards",

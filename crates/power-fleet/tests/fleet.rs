@@ -1,13 +1,12 @@
 //! Fleet acceptance tests: scheduler fairness, shard accounting,
 //! leaderboard CI semantics, and journal resume.
 
-use power_fleet::journal::{CampaignReplay, FleetJournal, MemJournal};
 use power_fleet::{CampaignState, Fleet, FleetCampaignSpec, FleetConfig};
 use power_stats::ci::{mean_ci_t_finite, mean_ci_z_finite};
 use power_stats::Summary;
 use power_telemetry::online::CiQuantile;
 use power_telemetry::plane::{IngestPlane, PlaneConfig, PlaneStats};
-use power_telemetry::{IngestConfig, Sample};
+use power_telemetry::{CampaignJournal, CampaignReplay, IngestConfig, MemJournal, Sample};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -246,21 +245,24 @@ fn leaderboard_ci_matches_batch_ci_on_the_same_averages() {
 /// the crash seam for resume tests.
 struct SharedJournal(Arc<Mutex<MemJournal>>);
 
-impl FleetJournal for SharedJournal {
-    fn replay(&mut self) -> power_fleet::Result<BTreeMap<u64, CampaignReplay>> {
+impl CampaignJournal for SharedJournal {
+    fn replay(&mut self) -> power_telemetry::Result<BTreeMap<u64, CampaignReplay>> {
         self.0.lock().unwrap().replay()
     }
-    fn record_created(&mut self, id: u64, fp: u64, spec: &[u8]) -> power_fleet::Result<()> {
+    fn record_created(&mut self, id: u64, fp: u64, spec: &[u8]) -> power_telemetry::Result<()> {
         self.0.lock().unwrap().record_created(id, fp, spec)
     }
-    fn record_node(&mut self, id: u64, node: u64, average: f64) -> power_fleet::Result<()> {
+    fn record_node(&mut self, id: u64, node: u64, average: f64) -> power_telemetry::Result<()> {
         self.0.lock().unwrap().record_node(id, node, average)
     }
-    fn record_finished(&mut self, id: u64) -> power_fleet::Result<()> {
+    fn record_finished(&mut self, id: u64) -> power_telemetry::Result<()> {
         self.0.lock().unwrap().record_finished(id)
     }
-    fn record_deleted(&mut self, id: u64) -> power_fleet::Result<()> {
+    fn record_deleted(&mut self, id: u64) -> power_telemetry::Result<()> {
         self.0.lock().unwrap().record_deleted(id)
+    }
+    fn sync(&mut self) -> power_telemetry::Result<()> {
+        self.0.lock().unwrap().sync()
     }
 }
 

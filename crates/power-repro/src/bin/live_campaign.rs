@@ -8,11 +8,12 @@
 //! prints the full live report the operator would act on.
 //!
 //! `--store-dir DIR` makes Part 2 durable: every finalized per-node
-//! average is appended to a write-ahead log under `DIR` before the
+//! average is appended to a campaign write-ahead log (the fleet's
+//! format, as a fleet of one) under `DIR` and synced before the
 //! campaign moves on, and a rerun over the same directory resumes at
 //! the watermark instead of re-metering recorded nodes.
 
-use power_archive::CampaignWal;
+use power_archive::FleetWal;
 use power_meter::{MeterFault, MeterModel};
 use power_repro::RunScale;
 use power_sim::cluster::Cluster;
@@ -116,7 +117,8 @@ fn main() {
     let report = match &store_dir {
         Some(dir) => {
             std::fs::create_dir_all(dir).expect("create store dir");
-            let mut wal = CampaignWal::open(dir.join("live_campaign.wal")).expect("campaign wal");
+            let mut wal =
+                FleetWal::open(dir.join("live_campaign.fleet.wal")).expect("campaign wal");
             let report = run_live_campaign_journaled(&sim, &cfg, &mut wal).expect("campaign");
             println!(
                 "  durable: {} of {} nodes resumed from {}",

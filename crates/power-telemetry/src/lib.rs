@@ -24,6 +24,10 @@
 //! * [`live`] — a live-campaign driver that feeds `power-sim` engine
 //!   output through sampling meters sample-by-sample and stops the
 //!   campaign with a defensible accuracy statement;
+//! * [`journal`] — the one durability contract for campaign progress,
+//!   shared by live campaigns and fleets: a multiplexed log of
+//!   `(node, average)` records that a restarted campaign replays to
+//!   resume at its watermark;
 //! * [`plane`] — a sharded multi-campaign ingestion fabric: campaigns
 //!   are partitioned across independently locked shards so thousands of
 //!   concurrent campaigns share one sample plane without a global
@@ -38,6 +42,7 @@
 
 pub mod anomaly;
 pub mod ingest;
+pub mod journal;
 pub mod live;
 pub mod online;
 pub mod plane;
@@ -45,9 +50,10 @@ pub mod ring;
 
 pub use anomaly::{AnomalyEvent, AnomalyKind, AnomalyMonitor, DetectorConfig};
 pub use ingest::{BackpressurePolicy, Collector, IngestConfig, IngestStats, Sample};
+pub use journal::{CampaignJournal, CampaignReplay, MemJournal};
 pub use live::{
-    campaign_fingerprint, run_live_campaign, run_live_campaign_journaled, CampaignJournal,
-    JournalReplay, LiveCampaignConfig, LiveCampaignReport,
+    campaign_fingerprint, run_live_campaign, run_live_campaign_journaled, LiveCampaignConfig,
+    LiveCampaignReport,
 };
 pub use online::{CiQuantile, CvAssumption, Decision, SequentialEstimator, StoppingRule};
 pub use plane::{IngestPlane, PlaneConfig, PlaneStats, ShardStats};

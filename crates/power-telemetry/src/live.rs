@@ -20,16 +20,21 @@
 //! That determinism is what makes a crashed campaign *resumable*: the
 //! only state that matters at a node boundary is the sequence of
 //! finalized per-node window averages fed to the estimator so far.
-//! [`run_live_campaign_journaled`] appends each `(node, average)` to a
-//! [`CampaignJournal`] (e.g. the write-ahead log in `power-archive`)
-//! after it lands, and on startup replays the journal's durable prefix
-//! into the estimator — the campaign continues metering at its
-//! watermark, and the final report is identical to an uninterrupted
-//! run's estimate (ingestion accounting and anomaly events cover only
-//! the resumed portion, since the crashed process's samples are gone).
+//! [`run_live_campaign_journaled`] keeps that sequence in the same
+//! [`CampaignJournal`] a fleet uses (e.g. `power-archive`'s `FleetWal`),
+//! as a fleet of one: campaign id `0`, created with the
+//! [`campaign_fingerprint`] and the machine size as its spec. Each
+//! `(node, average)` is recorded and synced after it lands, and on
+//! startup the journal's durable prefix is replayed into the estimator
+//! — the campaign continues metering at its watermark, and the final
+//! report is identical to an uninterrupted run's estimate (ingestion
+//! accounting and anomaly events cover only the resumed portion, since
+//! the crashed process's samples are gone). A journal holding anything
+//! but this one campaign, a fleet's included, is refused.
 
 use crate::anomaly::{AnomalyEvent, AnomalyMonitor, DetectorConfig};
 use crate::ingest::{BackpressurePolicy, Collector, IngestConfig, IngestStats, Sample};
+use crate::journal::{CampaignJournal, CampaignReplay};
 use crate::online::{CiQuantile, CvAssumption, SequentialEstimator, StoppingRule};
 use crate::{Result, TelemetryError};
 use power_meter::faults::MeterFault;
@@ -46,6 +51,9 @@ use rand::Rng;
 const STREAM_SELECT: u64 = 0x11FE_CA3E_5E1E_C700;
 const STREAM_METER: u64 = 0x11FE_CA3E_3E7E_D000;
 const STREAM_JITTER: u64 = 0x11FE_CA3E_917E_4000;
+
+/// The id a live campaign journals under: it is a fleet of one.
+const LIVE_CAMPAIGN_ID: u64 = 0;
 
 /// Configuration of a live campaign.
 #[derive(Debug, Clone)]
@@ -174,34 +182,31 @@ pub fn campaign_fingerprint(cfg: &LiveCampaignConfig, population: usize) -> u64 
     h
 }
 
-/// The durable prefix a [`CampaignJournal`] hands back on resume.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct JournalReplay {
-    /// `(node id, finalized window average)` in metering order.
-    pub nodes: Vec<(usize, f64)>,
-    /// Whether the journal recorded the stopping rule firing.
-    pub stopped: bool,
-}
-
-/// Durable storage for a live campaign's progress.
-///
-/// The driver calls `resume` once at startup, then `record_node` after
-/// every finalized per-node average and `record_stop` when the rule
-/// fires. Implementations must make each record durable before
-/// returning (or accept losing that node to re-metering — determinism
-/// makes re-metering safe, never wrong).
-pub trait CampaignJournal {
-    /// Validate the journal against this campaign's identity and return
-    /// the durable prefix. A fresh journal records the identity and
-    /// returns an empty replay; a journal written by a *different*
-    /// campaign must error rather than poison the estimator.
-    fn resume(&mut self, fingerprint: u64, population: u64) -> Result<JournalReplay>;
-
-    /// Append one finalized `(node, window average)` pair.
-    fn record_node(&mut self, node: usize, average: f64) -> Result<()>;
-
-    /// Record that the stopping rule fired.
-    fn record_stop(&mut self) -> Result<()>;
+/// Validates `journal` against this campaign's identity and returns its
+/// durable prefix. A fresh journal records the identity and replays
+/// nothing; a journal holding anything but exactly this campaign must
+/// error rather than poison the estimator.
+fn resume_journal(
+    journal: &mut dyn CampaignJournal,
+    fingerprint: u64,
+    population: usize,
+) -> Result<CampaignReplay> {
+    let spec = (population as u64).to_le_bytes();
+    let mut replays = journal.replay()?;
+    if replays.is_empty() {
+        journal.record_created(LIVE_CAMPAIGN_ID, fingerprint, &spec)?;
+        return Ok(CampaignReplay::default());
+    }
+    match replays.remove(&LIVE_CAMPAIGN_ID) {
+        Some(replay)
+            if replays.is_empty() && replay.fingerprint == fingerprint && replay.spec == spec =>
+        {
+            Ok(replay)
+        }
+        _ => Err(TelemetryError::Journal(format!(
+            "journal does not hold exactly campaign {fingerprint:#018x} over {population} nodes"
+        ))),
+    }
 }
 
 /// What a finished live campaign reports.
@@ -340,7 +345,7 @@ fn run_campaign(
     // recorded averages exactly.
     let mut resumed_nodes = 0u64;
     if let Some(journal) = journal.as_deref_mut() {
-        let replay = journal.resume(campaign_fingerprint(cfg, population), population as u64)?;
+        let replay = resume_journal(journal, campaign_fingerprint(cfg, population), population)?;
         if replay.nodes.len() > candidates.len() {
             return Err(TelemetryError::Journal(format!(
                 "journal holds {} nodes but the campaign can meter at most {}",
@@ -349,7 +354,7 @@ fn run_campaign(
             )));
         }
         for (slot, &(node, average)) in replay.nodes.iter().enumerate() {
-            if candidates[slot] != node {
+            if candidates[slot] as u64 != node {
                 return Err(TelemetryError::Journal(format!(
                     "journal node {node} at position {slot} does not match the \
                      campaign's deterministic selection order (expected {})",
@@ -364,7 +369,7 @@ fn run_campaign(
             }
         }
         next_slot = resumed_nodes as usize;
-        if replay.stopped {
+        if replay.finished {
             stopped = true;
         }
     }
@@ -470,11 +475,13 @@ fn run_campaign(
                 })?;
             let decision = estimator.push(avg);
             if let Some(journal) = journal.as_deref_mut() {
-                journal.record_node(candidates[slot], avg)?;
+                journal.record_node(LIVE_CAMPAIGN_ID, candidates[slot] as u64, avg)?;
+                journal.sync()?;
             }
             if decision.stop {
                 if let Some(journal) = journal.as_deref_mut() {
-                    journal.record_stop()?;
+                    journal.record_finished(LIVE_CAMPAIGN_ID)?;
+                    journal.sync()?;
                 }
                 stopped = true;
                 break;
@@ -505,6 +512,7 @@ fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::MemJournal;
     use power_sim::cluster::{Cluster, ClusterSpec};
     use power_sim::components::{MemorySpec, ProcessorSpec, StaticSpec};
     use power_sim::dvfs::{Governor, PState};
@@ -515,6 +523,7 @@ mod tests {
     use power_sim::vid::VoltagePolicy;
     use power_sim::NodeSpec;
     use power_workload::{Firestarter, LoadBalance, RunPhases};
+    use std::collections::BTreeMap;
 
     fn spec(nodes: usize) -> ClusterSpec {
         ClusterSpec {
@@ -693,47 +702,42 @@ mod tests {
         assert!(bad.validate().is_err());
     }
 
-    /// In-memory journal that can simulate a crash by erroring after
-    /// `fail_after` durable records (the record itself still lands, as
-    /// with a real WAL that fsyncs then dies).
-    #[derive(Default)]
-    struct MockJournal {
-        identity: Option<(u64, u64)>,
-        nodes: Vec<(usize, f64)>,
-        stopped: bool,
-        fail_after: Option<usize>,
+    /// Crash seam: forwards to a [`MemJournal`] and errors once
+    /// `crash_at` node records have landed (the record itself still
+    /// lands, as with a WAL that syncs and then dies).
+    struct CrashingJournal {
+        inner: MemJournal,
+        crash_at: usize,
     }
 
-    impl CampaignJournal for MockJournal {
-        fn resume(&mut self, fingerprint: u64, population: u64) -> Result<JournalReplay> {
-            match self.identity {
-                None => {
-                    self.identity = Some((fingerprint, population));
-                    Ok(JournalReplay::default())
-                }
-                Some(id) if id == (fingerprint, population) => Ok(JournalReplay {
-                    nodes: self.nodes.clone(),
-                    stopped: self.stopped,
-                }),
-                Some(_) => Err(TelemetryError::Journal("foreign journal".into())),
-            }
+    impl CampaignJournal for CrashingJournal {
+        fn replay(&mut self) -> Result<BTreeMap<u64, CampaignReplay>> {
+            self.inner.replay()
         }
-
-        fn record_node(&mut self, node: usize, average: f64) -> Result<()> {
-            self.nodes.push((node, average));
-            if self
-                .fail_after
-                .is_some_and(|limit| self.nodes.len() >= limit)
-            {
+        fn record_created(&mut self, id: u64, fingerprint: u64, spec: &[u8]) -> Result<()> {
+            self.inner.record_created(id, fingerprint, spec)
+        }
+        fn record_node(&mut self, id: u64, node: u64, average: f64) -> Result<()> {
+            self.inner.record_node(id, node, average)?;
+            if self.inner.replay()?[&id].nodes.len() >= self.crash_at {
                 return Err(TelemetryError::Journal("injected crash".into()));
             }
             Ok(())
         }
-
-        fn record_stop(&mut self) -> Result<()> {
-            self.stopped = true;
-            Ok(())
+        fn record_finished(&mut self, id: u64) -> Result<()> {
+            self.inner.record_finished(id)
         }
+        fn record_deleted(&mut self, id: u64) -> Result<()> {
+            self.inner.record_deleted(id)
+        }
+        fn sync(&mut self) -> Result<()> {
+            self.inner.sync()
+        }
+    }
+
+    /// The live campaign's one journaled campaign.
+    fn live_replay(journal: &mut MemJournal) -> CampaignReplay {
+        journal.replay().unwrap().remove(&LIVE_CAMPAIGN_ID).unwrap()
     }
 
     #[test]
@@ -744,14 +748,15 @@ mod tests {
         let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, config()).unwrap();
         let cfg = campaign(CvAssumption::Empirical);
         let plain = run_live_campaign(&sim, &cfg).unwrap();
-        let mut journal = MockJournal::default();
+        let mut journal = MemJournal::new();
         let journaled = run_live_campaign_journaled(&sim, &cfg, &mut journal).unwrap();
         assert_eq!(journaled.resumed_nodes, 0);
         assert_eq!(journaled.metered_nodes, plain.metered_nodes);
         assert_eq!(journaled.mean_node_w, plain.mean_node_w);
         assert_eq!(journaled.relative_accuracy, plain.relative_accuracy);
-        assert_eq!(journal.nodes.len() as u64, plain.metered_nodes);
-        assert_eq!(journal.stopped, plain.stopped_at.is_some());
+        let replay = live_replay(&mut journal);
+        assert_eq!(replay.nodes.len() as u64, plain.metered_nodes);
+        assert_eq!(replay.finished, plain.stopped_at.is_some());
     }
 
     #[test]
@@ -767,18 +772,17 @@ mod tests {
         assert!(baseline.metered_nodes > 4, "need room to interrupt");
 
         // "Crash" after 4 nodes have been made durable.
-        let mut journal = MockJournal {
-            fail_after: Some(4),
-            ..MockJournal::default()
+        let mut journal = CrashingJournal {
+            inner: MemJournal::new(),
+            crash_at: 4,
         };
         let err = run_live_campaign_journaled(&sim, &cfg, &mut journal).unwrap_err();
         assert!(matches!(err, TelemetryError::Journal(_)), "{err}");
-        assert_eq!(journal.nodes.len(), 4);
+        assert_eq!(live_replay(&mut journal.inner).nodes.len(), 4);
 
         // Resume from the durable prefix: the report is identical to an
         // uninterrupted run's.
-        journal.fail_after = None;
-        let resumed = run_live_campaign_journaled(&sim, &cfg, &mut journal).unwrap();
+        let resumed = run_live_campaign_journaled(&sim, &cfg, &mut journal.inner).unwrap();
         assert_eq!(resumed.resumed_nodes, 4);
         assert_eq!(resumed.metered_nodes, baseline.metered_nodes);
         assert_eq!(resumed.stopped_at, baseline.stopped_at);
@@ -793,26 +797,51 @@ mod tests {
         let wl = Firestarter::new(phases);
         let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, config()).unwrap();
         let cfg = campaign(CvAssumption::Empirical);
+        let fingerprint = campaign_fingerprint(&cfg, 60);
+        let rejects = |journal: &mut MemJournal| {
+            let err = run_live_campaign_journaled(&sim, &cfg, journal).unwrap_err();
+            assert!(matches!(err, TelemetryError::Journal(_)), "{err}");
+        };
 
-        // A journal written under a different campaign config.
-        let mut foreign = MockJournal::default();
+        // A journal written under a different campaign config, or a
+        // different machine size, or under another campaign id, or
+        // holding a second campaign.
         let other = campaign(CvAssumption::Planned(0.10));
-        foreign.identity = Some((campaign_fingerprint(&other, 60), 60));
-        let err = run_live_campaign_journaled(&sim, &cfg, &mut foreign).unwrap_err();
-        assert!(matches!(err, TelemetryError::Journal(_)), "{err}");
+        let foreign = [
+            (0, campaign_fingerprint(&other, 60), 60u64),
+            (0, fingerprint, 61),
+            (7, fingerprint, 60),
+        ];
+        for (id, fp, population) in foreign {
+            let mut journal = MemJournal::new();
+            journal
+                .record_created(id, fp, &population.to_le_bytes())
+                .unwrap();
+            rejects(&mut journal);
+        }
+        let mut crowded = MemJournal::new();
+        for id in 0..2 {
+            crowded
+                .record_created(id, fingerprint, &60u64.to_le_bytes())
+                .unwrap();
+        }
+        rejects(&mut crowded);
 
         // A journal whose node order disagrees with the deterministic
         // selection order.
-        let mut run_first = MockJournal::default();
+        let mut run_first = MemJournal::new();
         run_live_campaign_journaled(&sim, &cfg, &mut run_first).unwrap();
-        let mut tampered = MockJournal {
-            identity: run_first.identity,
-            nodes: run_first.nodes.clone(),
-            stopped: run_first.stopped,
-            fail_after: None,
-        };
-        tampered.nodes.swap(0, 1);
-        let err = run_live_campaign_journaled(&sim, &cfg, &mut tampered).unwrap_err();
-        assert!(matches!(err, TelemetryError::Journal(_)), "{err}");
+        let mut replay = live_replay(&mut run_first);
+        replay.nodes.swap(0, 1);
+        let mut tampered = MemJournal::new();
+        tampered
+            .record_created(LIVE_CAMPAIGN_ID, replay.fingerprint, &replay.spec)
+            .unwrap();
+        for (node, average) in replay.nodes {
+            tampered
+                .record_node(LIVE_CAMPAIGN_ID, node, average)
+                .unwrap();
+        }
+        rejects(&mut tampered);
     }
 }
