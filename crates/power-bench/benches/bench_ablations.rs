@@ -116,7 +116,7 @@ fn bench_bootstrap_memory_strategy(c: &mut Criterion) {
 fn bench_window_coverage_sweep(c: &mut Criterion) {
     // What does measuring more of the run cost (and buy)? Sweep window
     // coverage of the core phase and time the averaging; the accuracy side
-    // of this ablation is reported by the `gaming` repro binary.
+    // of this ablation is the `gaming` grid of `scenarios/paper.json`.
     let f = fixture(power_sim::systems::lcsc(), 48);
     let (trace, phases) = f.system_trace();
     let mut group = c.benchmark_group("ablation_window_coverage");

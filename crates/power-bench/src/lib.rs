@@ -1,17 +1,16 @@
 //! Shared fixtures for the Criterion benchmark suite.
 //!
-//! Each bench target regenerates one of the paper's tables/figures (or an
-//! ablation of a design choice) at a bench-friendly scale; the full-scale
-//! reproduction lives in `power-repro`'s binaries. Bench names map to
+//! Each bench target times one of the paper's tables/figures, a design
+//! ablation or a serving layer at a bench-friendly scale; the paper-scale
+//! reproduction is `scenarios/paper_full.json`. Bench names map to
 //! paper artifacts as follows:
 //!
-//! | bench target      | paper artifact |
+//! | bench target      | what it times |
 //! |-------------------|----------------|
 //! | `bench_table2`    | Table 2 / Figure 1 trace generation |
 //! | `bench_table4`    | Table 4 / Figure 2 per-node statistics |
 //! | `bench_table5`    | Table 5 sample-size grid + Eq. 4/5 kernels |
 //! | `bench_figure3`   | Figure 3 bootstrap coverage study |
-//! | `bench_figure4`   | Figure 4 case-study sweep |
 //! | `bench_method`    | Level 1/2/3/Revised measurement execution |
 //! | `bench_gaming`    | Section 3 optimal-interval scans |
 //! | `bench_green500`  | Section 1 rank-stability Monte Carlo |
@@ -20,6 +19,8 @@
 //! | `bench_serve`     | endpoint routing + loopback throughput budgets |
 //! | `bench_archive`   | archive append/scan/compaction |
 //! | `bench_fleet`     | fleet concurrency, partitioned-plane ingest, leaderboard latency budgets |
+//! | `bench_campaign`  | campaign pool speedup and thread-count byte identity |
+//! | `bench_accel`     | capped GPU-population sweep throughput |
 //!
 //! Every bench binary ends by draining the [`report`] sink to a
 //! machine-readable `BENCH_<name>.json` (see [`bench_main!`]), and the
@@ -41,26 +42,12 @@ macro_rules! bench_main {
     };
 }
 
-use power_repro::RunScale;
 use power_sim::cluster::Cluster;
 use power_sim::engine::{MeterScope, ProductRequest, SimulationConfig, Simulator};
 use power_sim::store::TraceStore;
 use power_sim::systems::SystemPreset;
 use power_sim::trace::SystemTrace;
 use power_workload::RunPhases;
-
-/// Bench-friendly run scale: small machines, coarse steps.
-pub fn bench_scale() -> RunScale {
-    RunScale {
-        max_nodes: 128,
-        dt_scale: 8.0,
-        bootstrap_reps: 2_000,
-        bootstrap_population: 1_024,
-        rank_reps: 2_000,
-        interval_placements: 51,
-        seed: 0xBE7C,
-    }
-}
 
 /// Simulation config used across benches.
 pub fn bench_sim_config(dt: f64) -> SimulationConfig {

@@ -20,8 +20,11 @@
 //!   duplicate-free and in a deterministic order;
 //! * [`probe`] — the computations a cell can run, keyed by the
 //!   `methodologies` dimension: the four EE HPC WG measurement levels
-//!   plus the paper-artifact probes (`trace`, `nodes`, `samplesize`,
-//!   `gaming`, `coverage`, `vid`, `accuracy_gap`, `t_vs_z`);
+//!   plus one probe per paper artifact (`trace`, `figure1`, `nodes`,
+//!   `figure2`, `samplesize`, `gaming`, `coverage`, `figure3`, `vid`,
+//!   `accuracy_gap`, `t_vs_z`, `recommendation`, `subsystems`,
+//!   `imbalance`, `exascale`, `rank_stability`) and the accelerator
+//!   probes;
 //! * [`pool`] — the work-stealing pool that executes (cell, seed) tasks;
 //! * [`summary`] — per-metric cross-seed variance bands;
 //! * [`gate`] — `expect` evaluation: absolute value ± band, interval

@@ -28,8 +28,9 @@
 
 use mini_json::Json;
 
-/// Scale knobs shared by every cell of a campaign (the scenario-file
-/// analogue of the repro drivers' `--quick`/`--full` switch).
+/// Scale knobs shared by every cell of a campaign. The defaults keep
+/// every artifact's shape while a campaign completes in seconds;
+/// `scenarios/paper_full.json` sets the paper-scale values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
     /// Cap on simulated machine size; presets are scaled down to this.
@@ -42,6 +43,9 @@ pub struct Scale {
     pub bootstrap_reps: usize,
     /// Simulated-machine size for the coverage study.
     pub bootstrap_population: usize,
+    /// Monte-Carlo replications of the rank-stability study (a tenth of
+    /// them, at least 200, for the imbalance study's repeated samples).
+    pub rank_reps: usize,
 }
 
 impl Default for Scale {
@@ -52,6 +56,7 @@ impl Default for Scale {
             placements: 101,
             bootstrap_reps: 2_000,
             bootstrap_population: 2_048,
+            rank_reps: 5_000,
         }
     }
 }
@@ -299,6 +304,12 @@ fn parse_scale(doc: &Json) -> Result<Scale, ScenarioError> {
             return err("scale.bootstrap_population", "must be at least 50");
         }
         scale.bootstrap_population = v;
+    }
+    if let Some(v) = opt_usize(s, "rank_reps", "scale")? {
+        if v == 0 {
+            return err("scale.rank_reps", "must be positive");
+        }
+        scale.rank_reps = v;
     }
     Ok(scale)
 }
@@ -631,12 +642,41 @@ mod tests {
                 {"name":"g","methodologies":["trace"]}]}"#
         )
         .is_err());
+        // Zero rank replications.
+        assert!(Scenario::parse(
+            r#"{"name":"t","seeds":[1],"grids":[{"name":"g","methodologies":["nodes"]}],
+                "scale":{"rank_reps":0}}"#
+        )
+        .is_err());
         // min > max.
         assert!(Scenario::parse(
             r#"{"name":"t","seeds":[1],"grids":[{"name":"g","methodologies":["nodes"]}],
                 "expect":[{"metric":"m","min":2.0,"max":1.0}]}"#
         )
         .is_err());
+    }
+
+    #[test]
+    fn clamping() {
+        let s = Scale::default();
+        assert_eq!(s.clamp_nodes(122_880), 512);
+        assert_eq!(s.clamp_nodes(100), 100);
+        let full = Scale {
+            max_nodes: 1_000_000,
+            ..Scale::default()
+        };
+        assert_eq!(full.clamp_nodes(122_880), 122_880);
+    }
+
+    #[test]
+    fn dt_floors_at_one_second() {
+        let full = Scale {
+            dt_scale: 1.0,
+            ..Scale::default()
+        };
+        assert_eq!(full.dt_for_core(100.0), 1.0);
+        assert!((full.dt_for_core(100_800.0) - 50.4).abs() < 1e-9);
+        assert!((Scale::default().dt_for_core(100_800.0) - 201.6).abs() < 1e-9);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! the watermark instead of re-metering recorded nodes.
 
 use power_archive::FleetWal;
+use power_campaign::Scale;
 use power_meter::{MeterFault, MeterModel};
-use power_repro::RunScale;
 use power_sim::cluster::Cluster;
 use power_sim::engine::{SimulationConfig, Simulator};
 use power_sim::systems;
@@ -26,11 +26,11 @@ use power_telemetry::{
 };
 use std::path::PathBuf;
 
+/// Base seed of every simulation and campaign stream.
+const SEED: u64 = 20_150_715;
+
 fn main() {
-    // Split our own `--store-dir DIR` off before handing the rest to
-    // the shared scale parser.
     let mut store_dir: Option<PathBuf> = None;
-    let mut rest = Vec::new();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         if arg == "--store-dir" {
@@ -42,10 +42,11 @@ fn main() {
                 }
             }
         } else {
-            rest.push(arg);
+            eprintln!("usage: live_campaign [--store-dir DIR]");
+            std::process::exit(1);
         }
     }
-    let scale = RunScale::from_args(rest);
+    let scale = Scale::default();
     let preset = systems::calcul_quebec();
     let nodes = scale.clamp_nodes(preset.cluster_spec.total_nodes);
     let preset = preset.with_total_nodes(nodes);
@@ -56,7 +57,7 @@ fn main() {
         dt,
         noise_sigma: 0.01,
         common_noise_sigma: 0.003,
-        seed: scale.seed ^ 0x11FE,
+        seed: SEED ^ 0x11FE,
         threads: std::thread::available_parallelism().map_or(4, |p| p.get()),
     };
     let sim = Simulator::new(&cluster, wl, preset.balance, config).expect("simulator");
@@ -81,7 +82,7 @@ fn main() {
             .expect("plan");
         let mut cfg = LiveCampaignConfig::table5(lambda, cv, MeterModel::ideal());
         cfg.scope = preset.scope;
-        cfg.seed = scale.seed;
+        cfg.seed = SEED;
         let report = run_live_campaign(&sim, &cfg).expect("campaign");
         let live = report
             .stopped_at
@@ -98,7 +99,7 @@ fn main() {
     cfg.cv = CvAssumption::Empirical;
     cfg.pilot_nodes = 8;
     cfg.scope = preset.scope;
-    cfg.seed = scale.seed ^ 0xF00D;
+    cfg.seed = SEED ^ 0xF00D;
     // The drift detector's trailing window must fit the run (~500
     // samples per node at this scale), and the alarm must sit above the
     // HPL profile's own ~0.07/hr power trend so only meter faults fire.

@@ -1,38 +1,16 @@
-//! Experiment drivers regenerating every table and figure of the paper.
+//! Command-line drivers over the workspace. Every table and figure of
+//! the paper is a gated grid of a scenario file (`scenarios/paper.json`,
+//! `scenarios/experiments.json`, and `scenarios/paper_full.json` at the
+//! published scale), run by `campaign`:
 //!
-//! Each `bin/` target reproduces one artifact of the paper's evaluation:
-//!
-//! | binary          | paper artifact |
-//! |-----------------|----------------|
-//! | `table1`        | Table 1 — methodology requirements by level |
-//! | `table2`        | Table 2 — HPL runtime & segment powers |
-//! | `table3`        | Table 3 — test-system inventory |
-//! | `table4`        | Table 4 — per-node power statistics |
-//! | `table5`        | Table 5 — recommended sample sizes |
-//! | `figure1`       | Figure 1 — system power over time |
-//! | `figure2`       | Figure 2 — per-node power histograms |
-//! | `figure3`       | Figure 3 — bootstrap CI coverage |
-//! | `figure4`       | Figure 4 — L-CSC efficiency vs VID |
-//! | `gaming`        | §3 — optimal-interval & DVFS exploits |
-//! | `accuracy_gap`  | §4 intro — 1/64-rule accuracy disparity |
-//! | `t_vs_z`        | §4.2 — z-quantile under-coverage |
-//! | `recommendation`| §6 — the revised max(16, 10%) rule across systems |
-//! | `rank_stability`| §1 — Green500 rank fragility |
-//! | `live_campaign` | online Table 5 — streaming ingestion + sequential stopping |
+//! | binary          | what it runs |
+//! |-----------------|--------------|
 //! | `campaign`      | scenario-file sweeps with repeatability gates (`scenarios/*.json`) |
-//! | `all`           | everything above in sequence |
+//! | `live_campaign` | online Table 5 — streaming ingestion + sequential stopping |
+//! | `serve`         | the HTTP query service and its smoke checks |
 //!
-//! The [`experiments`] module holds the runnable logic (shared with the
-//! benchmark crate); [`plot`] and [`table`] render results for terminals;
-//! [`scale`] selects full-fidelity or quick runs.
+//! [`table`] renders the campaign's cross-seed bands for terminals.
 
 #![warn(missing_docs)]
 
-pub mod csv;
-pub mod experiments;
-pub mod plot;
-pub mod render;
-pub mod scale;
 pub mod table;
-
-pub use scale::RunScale;

@@ -1,4 +1,4 @@
-//! Aligned-column table rendering for experiment output.
+//! Aligned-column table rendering for campaign output.
 
 /// A simple text table.
 #[derive(Debug, Clone, Default)]
@@ -66,27 +66,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Renders as CSV (no quoting of commas — experiment data is numeric).
-    pub fn to_csv(&self) -> String {
-        let mut out = self.header.join(",");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// Formats a relative deviation as a signed percentage.
-pub fn pct(x: f64) -> String {
-    format!("{:+.2}%", x * 100.0)
-}
-
-/// Formats watts as kilowatts with one decimal.
-pub fn kw(watts: f64) -> String {
-    format!("{:.1}", watts / 1000.0)
 }
 
 #[cfg(test)]
@@ -115,19 +94,5 @@ mod tests {
         assert!(!t.is_empty());
         let s = t.render();
         assert!(s.contains('1'));
-    }
-
-    #[test]
-    fn csv_output() {
-        let mut t = TextTable::new(["a", "b"]);
-        t.row(["1", "2"]);
-        assert_eq!(t.to_csv(), "a,b\n1,2\n");
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(pct(0.0485), "+4.85%");
-        assert_eq!(pct(-0.162), "-16.20%");
-        assert_eq!(kw(59_100.0), "59.1");
     }
 }

@@ -5,7 +5,7 @@
 //! trace, per-node window averages, or a metered-subset trace. Before this
 //! module existed each call site re-ran the full node loop — the gaming
 //! interval scan, `power-method::measure`, the power-meter campaigns and
-//! the `power-repro` drivers all redid identical work.
+//! the campaign probes all redid identical work.
 //!
 //! [`TraceStore`] closes that gap: it memoizes [`RunProducts`] behind a key
 //! that fingerprints the complete simulation identity —

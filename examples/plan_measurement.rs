@@ -99,6 +99,6 @@ fn main() {
     println!(
         "To rerun this workflow as a repeatable multi-seed sweep (the\n\
          `table5` and `levels` grids gate the sample sizes and accuracy):\n\n  \
-         cargo run --release --bin campaign -- scenarios/paper.json"
+         cargo run --release -p power-repro --bin campaign -- scenarios/paper.json"
     );
 }

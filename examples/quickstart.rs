@@ -84,5 +84,5 @@ fn main() {
     println!("Everything above as a gated, multi-seed sweep (the `levels` and");
     println!("`gaming` grids cover this example's cells):");
     println!();
-    println!("  cargo run --release --bin campaign -- scenarios/paper.json");
+    println!("  cargo run --release -p power-repro --bin campaign -- scenarios/paper.json");
 }
